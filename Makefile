@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench vet fmt check crash-test chaos-test storage-test cluster-test wire-test prefetch-test ha-test experiments table1 clean
+.PHONY: all build test test-short bench vet fmt check crash-test chaos-test storage-test cluster-test wire-test prefetch-test ha-test determinism-test experiments table1 clean
 
 all: build test
 
@@ -90,6 +90,13 @@ cluster-test:
 ha-test:
 	$(GO) test -race -count=1 -run 'Epoch|Failover|Backoff|RawWAL|HA|StalePrimary|Promotion|StandbyPromotes|ProbeDelay' \
 		./internal/persist/... ./internal/api/... ./internal/client/... ./internal/cluster/...
+
+# Determinism gate: every bit-identity, snapshot, fingerprint and
+# parity suite at several GOMAXPROCS values, repeated, so a result that
+# depends on goroutine scheduling fails here instead of intermittently.
+determinism-test:
+	$(GO) test -cpu=1,2,4 -count=3 -run 'Snapshot|Fingerprint|Identity|Determinism|Parity|Matches' \
+		./internal/fedora/ ./internal/shard/ ./internal/fl/ ./internal/client/ ./internal/cluster/ ./internal/api/
 
 build:
 	$(GO) build ./...

@@ -61,7 +61,7 @@ func main() {
 		features = flag.Int("max-features", 100, "max features per client")
 		lr       = flag.Float64("lr", 1.0, "server learning rate")
 		seed     = flag.Int64("seed", 1, "deterministic seed")
-		shards   = flag.Int("shards", 1, "partition the table across this many parallel per-shard ORAMs (1 = monolithic)")
+		shards   = flag.Int("shards", 1, "partition the table across this many parallel per-shard ORAMs (1 = one shard, the single ORAM pipeline)")
 		prefetch = flag.Bool("prefetch", false, "lookahead pipeline: rounds staged via POST /v2/rounds/{id}/stage stream their ORAM reads on a background fetcher and defer write-back; bit-identical to sync")
 		ckptDir  = flag.String("checkpoint-dir", "", "restore controller state on start, checkpoint on shutdown")
 		drain    = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain limit")

@@ -2,6 +2,7 @@ package api
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -171,4 +172,47 @@ func TestV2StageNextHint(t *testing.T) {
 	if strings.Contains(body, "fedora_prefetch_hits_total 0\n") {
 		t.Errorf("prefetch hits not counted:\n%s", body)
 	}
+}
+
+// TestV2StagedRoundRejectsBadUpload: on a prefetching server, an upload
+// whose gradient (or sum) has the wrong width is a 400 on its own
+// request even when it lands while the staged round's fetcher is still
+// loading, and the round it was posted to still finishes cleanly.
+func TestV2StagedRoundRejectsBadUpload(t *testing.T) {
+	srv, _ := newStageTestServer(t)
+	lists := make([]string, 8)
+	for i := range lists {
+		rows := make([]string, 8)
+		for j := range rows {
+			rows[j] = fmt.Sprint(100 + 8*i + j)
+		}
+		lists[i] = "[" + strings.Join(rows, ",") + "]"
+	}
+	next := `{"requests":[` + strings.Join(lists, ",") + `]}`
+
+	r1 := beginV2(t, srv.URL, `{"requests":[[5]]}`)
+	if status, _, data := stage(t, srv.URL, r1.RoundID, next); status != http.StatusOK {
+		t.Fatalf("stage: status %d body %s", status, data)
+	}
+	finishV2(t, srv.URL, r1.RoundID)
+	r2 := beginV2(t, srv.URL, next)
+
+	grads := srv.URL + "/v2/rounds/" + r2.RoundID + "/gradients"
+	for _, body := range []string{
+		`{"gradients":[{"row":100,"grad":[1,2,3],"samples":1}]}`,
+		`{"aggregates":[{"row":101,"sum":[1,2,3,4,5],"count":1}]}`,
+	} {
+		if status, data := doReq(t, http.MethodPost, grads, body); status != http.StatusBadRequest {
+			t.Fatalf("wrong-width upload %s: status %d body %s", body, status, data)
+		}
+	}
+	status, data := doReq(t, http.MethodPost, grads, `{"gradients":[{"row":102,"grad":[1,2,3,4],"samples":1}]}`)
+	if status != http.StatusOK {
+		t.Fatalf("valid upload: status %d body %s", status, data)
+	}
+	var resp GradientBatchResponse
+	if err := json.Unmarshal(data, &resp); err != nil || resp.Delivered != 1 {
+		t.Fatalf("valid upload response %s (%v)", data, err)
+	}
+	finishV2(t, srv.URL, r2.RoundID)
 }

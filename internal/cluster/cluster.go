@@ -124,7 +124,6 @@ type Coordinator struct {
 	norm    fedora.Config // defaults-applied global config
 	shards  int           // S ≥ 1
 	numRows uint64
-	digest  uint64
 	effEps  float64
 	nodeOf  []int // global shard index → member index
 	members []*member
@@ -182,7 +181,6 @@ func New(cfg Config) (*Coordinator, error) {
 		norm:    norm,
 		shards:  shards,
 		numRows: norm.NumRows,
-		digest:  norm.Digest(),
 		effEps:  norm.EffectiveEpsilon(),
 		nodeOf:  make([]int, shards),
 	}

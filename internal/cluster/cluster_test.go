@@ -322,54 +322,55 @@ func TestClusterWireParity(t *testing.T) {
 
 // TestClusterSnapshotMatchesSingleProcess: the coordinator's assembled
 // checkpoint is byte-identical to the snapshot of a single-process
-// sharded controller that served the same round sequence — the property
-// that makes checkpoints portable between deployment shapes.
+// controller that served the same round sequence — the property that
+// makes checkpoints portable between deployment shapes. It covers a
+// two-member sharded cluster and a one-member one-shard cluster.
 func TestClusterSnapshotMatchesSingleProcess(t *testing.T) {
-	flCfg := testFLConfig()
-	// One trainer worker: ORAM-internal counters depend on serve order,
-	// and byte-identity needs the deterministic sequential order (the
-	// MODEL is order-independent — that's the fingerprint test).
-	flCfg.Workers = 1
-	global, err := fl.ControllerConfig(flCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, shards := range []int{2, 1} {
+		flCfg := testFLConfig()
+		flCfg.Shards = shards
+		// One trainer worker: ORAM-internal counters depend on serve order,
+		// and byte-identity needs the deterministic sequential order (the
+		// MODEL is order-independent — that's the fingerprint test).
+		flCfg.Workers = 1
+		global, err := fl.ControllerConfig(flCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	// Reference: one process, one sharded controller, driven remotely so
-	// the round sequence is identical to the cluster run below.
-	ctrl, err := fedora.New(global)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ssrv := httptest.NewServer(api.NewServer(ctrl).Handler())
-	t.Cleanup(ssrv.Close)
-	runRemote(t, flCfg, ssrv.URL)
-	want, err := ctrl.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+		// Reference: one process, one controller, driven remotely so the
+		// round sequence is identical to the cluster run below.
+		ctrl, err := fedora.New(global)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ssrv := httptest.NewServer(api.NewServer(ctrl).Handler())
+		t.Cleanup(ssrv.Close)
+		runRemote(t, flCfg, ssrv.URL)
+		want, err := ctrl.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	m0, _ := startMember(t, global, 0, 1)
-	m1, _ := startMember(t, global, 1, 1)
-	co, csrv := startCoordinator(t, Config{
-		Fedora: global,
-		Nodes: []NodeSpec{
-			{URL: m0.URL, First: 0, Count: 1},
-			{URL: m1.URL, First: 1, Count: 1},
-		},
-	})
-	runRemote(t, flCfg, csrv.URL)
-	got, err := co.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("assembled cluster snapshot differs from single-process snapshot (%d vs %d bytes)", len(got), len(want))
-	}
+		var nodes []NodeSpec
+		for g := 0; g < shards; g++ {
+			m, _ := startMember(t, global, g, 1)
+			nodes = append(nodes, NodeSpec{URL: m.URL, First: g, Count: 1})
+		}
+		co, csrv := startCoordinator(t, Config{Fedora: global, Nodes: nodes})
+		runRemote(t, flCfg, csrv.URL)
+		got, err := co.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("shards=%d: assembled cluster snapshot differs from single-process snapshot (%d vs %d bytes)", shards, len(got), len(want))
+		}
 
-	// And it restores back through the coordinator.
-	if err := co.Restore(got); err != nil {
-		t.Fatal(err)
+		// And it restores back through the coordinator.
+		if err := co.Restore(got); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
 	}
 }
 

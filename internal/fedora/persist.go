@@ -8,24 +8,32 @@ import (
 	"sort"
 
 	"repro/internal/persist"
+	"repro/internal/shard"
 )
 
-// Controller.Snapshot/Restore glue every component snapshot into one
+// Snapshot format. Every controller writes one envelope: a version
+// byte (2), the shard count, the config digest, the round counter, and
+// the shard.Engine container — a meta section pinning the geometry plus
+// one section per shard, named by GLOBAL shard index. A section is one
+// partition's snapshot, which glues every component snapshot into one
 // blob: both RNG sources, the selector's cross-round metadata, the FDP
 // accountant, the TEE scratchpad and engine counters, the main ORAM
 // (backend-tagged), the buffer ORAM, and both simulated devices (whose
 // page stores hold the actual tree bytes). Snapshots are only taken
-// between rounds — BeginRound..FinishRound state is deliberately not
+// between rounds — BeginRound..Finish state is deliberately not
 // serializable; recovery re-executes the interrupted round from the WAL.
+//
+// Before the one-shard controller ran as a one-partition engine, it
+// wrote its partition section bare, tagged version 1. Byte for byte that
+// blob IS the section, so a one-shard controller still restores it
+// (decode only) as its shard's section.
 
 const (
-	controllerSnapshotVersion = 1
-	// shardedSnapshotVersion tags snapshots of sharded controllers: a
-	// shard count + config digest header wrapping the shard.Engine
-	// container (one named section per shard). The two formats are
-	// deliberately distinct so cross-mode restores fail with a clear
-	// message instead of a decode error.
-	shardedSnapshotVersion = 2
+	// sectionSnapshotVersion tags a partition section (and the bare
+	// one-shard snapshots of the earlier format).
+	sectionSnapshotVersion = 1
+	// controllerSnapshotVersion tags the envelope every controller writes.
+	controllerSnapshotVersion = 2
 )
 
 // ErrRoundOpen is returned by Snapshot when a round is in flight.
@@ -86,71 +94,201 @@ func (c *Controller) Snapshot() ([]byte, error) {
 		// snapshot would otherwise capture mid-consumption.
 		return nil, ErrRoundOpen
 	}
+	blob, err := c.eng.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	return c.cfg.envelope(c.round, blob), nil
+}
+
+// Restore replaces the controller's dynamic state with a snapshot taken
+// from a controller built with an identical Config. A one-shard
+// controller also accepts the earlier bare-section format.
+func (c *Controller) Restore(b []byte) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.inRound || c.staged != nil {
+		return ErrRoundOpen
+	}
+	round, engBlob, err := c.cfg.openEnvelope(b)
+	if err != nil {
+		return err
+	}
+	if err := c.eng.Restore(engBlob); err != nil {
+		return err
+	}
+	c.round = round
+	return nil
+}
+
+// RecoverQuarantined restores every quarantined shard from its section
+// of a controller snapshot (the newest durable checkpoint) and returns
+// the shard indices recovered. Healthy shards — and the controller round
+// counter, which tracks the rounds the survivors kept serving — are
+// untouched: only the quarantined shards' state is replaced, rolling
+// them back to checkpoint time (the bounded data-loss window
+// ARCHITECTURE.md's degradation matrix documents). It requires a
+// quiesced controller and a snapshot with matching geometry and config
+// digest, and returns (nil, nil) when nothing is quarantined — always
+// on a one-shard controller, which never quarantines.
+func (c *Controller) RecoverQuarantined(b []byte) ([]int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.inRound || c.staged != nil {
+		return nil, ErrRoundOpen
+	}
+	// The snapshot round is NOT restored: survivors advanced past it.
+	_, engBlob, err := c.cfg.openEnvelope(b)
+	if err != nil {
+		return nil, fmt.Errorf("fedora: recover: %w", err)
+	}
+	return c.eng.Recover(engBlob)
+}
+
+// envelope wraps an engine container in the controller snapshot header.
+func (cfg *Config) envelope(round uint64, engBlob []byte) []byte {
+	var e persist.Encoder
+	e.U8(controllerSnapshotVersion)
+	e.U32(uint32(cfg.shardCount()))
+	e.U64(cfg.Digest())
+	e.U64(round)
+	e.Bytes(engBlob)
+	return e.Finish()
+}
+
+// openEnvelope verifies a controller snapshot's header against cfg and
+// returns its round and engine container. The shard count is checked
+// before the digest so a mismatched partitioning gets the specific
+// error, not the generic one. A bare version-1 section is accepted when
+// cfg has one shard and wrapped as that shard's container.
+func (cfg *Config) openEnvelope(b []byte) (round uint64, engBlob []byte, err error) {
+	n := cfg.shardCount()
+	d := persist.NewDecoder(b)
+	v := d.U8()
+	switch {
+	case d.Err() == nil && v == sectionSnapshotVersion && n == 1:
+		if digest := d.U64(); d.Err() == nil && digest != cfg.Digest() {
+			return 0, nil, fmt.Errorf("fedora: snapshot config digest %016x != controller %016x (configs differ)", digest, cfg.Digest())
+		}
+		round = d.U64()
+		if err := d.Err(); err != nil {
+			return 0, nil, fmt.Errorf("fedora: controller snapshot: %w", err)
+		}
+		engBlob, err = shard.EncodeSnapshot(1, cfg.NumRows, cfg.ShardBase, [][]byte{b})
+		return round, engBlob, err
+	case d.Err() == nil && v == sectionSnapshotVersion:
+		return 0, nil, fmt.Errorf("fedora: snapshot was taken with 1 shard, controller is configured with %d — restore requires an identical shard count", n)
+	case d.Err() == nil && v != controllerSnapshotVersion:
+		return 0, nil, fmt.Errorf("fedora: unsupported controller snapshot version %d", v)
+	}
+	shards := int(d.U32())
+	if d.Err() == nil && shards != n {
+		return 0, nil, fmt.Errorf("fedora: snapshot was taken with %d shards, controller is configured with %d — restore requires an identical shard count", shards, n)
+	}
+	digest := d.U64()
+	if d.Err() == nil && digest != cfg.Digest() {
+		return 0, nil, fmt.Errorf("fedora: snapshot config digest %016x != controller %016x (configs differ)", digest, cfg.Digest())
+	}
+	round = d.U64()
+	engBlob = d.Bytes()
+	if err := d.Err(); err != nil {
+		return 0, nil, fmt.Errorf("fedora: controller snapshot: %w", err)
+	}
+	return round, engBlob, nil
+}
+
+// AssembleSnapshot builds the snapshot a controller built from cfg
+// would write, from its per-shard sections (as SnapshotShard returns
+// them, in shard order) and its round counter. A cluster coordinator
+// uses it with the GLOBAL config: the assembled blob is byte-identical
+// to a single-process controller's, so checkpoints move freely between
+// the two.
+func AssembleSnapshot(cfg Config, round uint64, sections [][]byte) ([]byte, error) {
+	(&cfg).setDefaults()
+	if len(sections) != cfg.shardCount() {
+		return nil, fmt.Errorf("fedora: %d sections for %d shards", len(sections), cfg.shardCount())
+	}
+	engBlob, err := shard.EncodeSnapshot(len(sections), cfg.NumRows, cfg.ShardBase, sections)
+	if err != nil {
+		return nil, err
+	}
+	return cfg.envelope(round, engBlob), nil
+}
+
+// SplitSnapshot is AssembleSnapshot's inverse: it verifies a controller
+// snapshot against cfg (shard count, config digest, engine geometry) and
+// returns its round counter and per-shard sections in shard order.
+func SplitSnapshot(cfg Config, b []byte) (round uint64, sections [][]byte, err error) {
+	(&cfg).setDefaults()
+	round, engBlob, err := cfg.openEnvelope(b)
+	if err != nil {
+		return 0, nil, err
+	}
+	sections, err = shard.DecodeSnapshot(engBlob, cfg.shardCount(), cfg.NumRows, cfg.ShardBase)
+	if err != nil {
+		return 0, nil, err
+	}
+	return round, sections, nil
+}
+
+// Snapshot implements shard.Partition: the partition's section.
+func (p *partition) Snapshot() ([]byte, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.inRound {
+		return nil, ErrRoundOpen
+	}
 	// Drain any deferred write-back pass so the snapshot is byte-identical
 	// to the one a synchronous run would take at this round boundary.
-	if err := c.drainEvictLocked(); err != nil {
+	if err := p.drainEvictLocked(); err != nil {
 		return nil, err
 	}
 
-	if c.eng != nil {
-		blob, err := c.eng.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		var e persist.Encoder
-		e.U8(shardedSnapshotVersion)
-		e.U32(uint32(c.cfg.Shards))
-		e.U64(c.ConfigDigest())
-		e.U64(c.round)
-		e.Bytes(blob)
-		return e.Finish(), nil
-	}
-
-	scratchBlob, err := c.scratch.Snapshot()
+	scratchBlob, err := p.scratch.Snapshot()
 	if err != nil {
 		return nil, fmt.Errorf("fedora: scratchpad: %w", err)
 	}
 	var engineBlob []byte
-	if c.engine != nil {
-		engineBlob, err = c.engine.Snapshot()
+	if p.engine != nil {
+		engineBlob, err = p.engine.Snapshot()
 		if err != nil {
 			return nil, fmt.Errorf("fedora: engine: %w", err)
 		}
 	}
 	var mainBlob []byte
-	if c.path != nil {
-		mainBlob, err = c.path.Snapshot()
+	if p.path != nil {
+		mainBlob, err = p.path.Snapshot()
 	} else {
-		mainBlob, err = c.raw.Snapshot()
+		mainBlob, err = p.raw.Snapshot()
 	}
 	if err != nil {
 		return nil, fmt.Errorf("fedora: main oram: %w", err)
 	}
-	bufBlob, err := c.buf.Snapshot()
+	bufBlob, err := p.buf.Snapshot()
 	if err != nil {
 		return nil, fmt.Errorf("fedora: buffer oram: %w", err)
 	}
-	ssdBlob, err := c.ssd.Snapshot()
+	ssdBlob, err := p.ssd.Snapshot()
 	if err != nil {
 		return nil, fmt.Errorf("fedora: ssd device: %w", err)
 	}
-	dramBlob, err := c.dram.Snapshot()
+	dramBlob, err := p.dram.Snapshot()
 	if err != nil {
 		return nil, fmt.Errorf("fedora: dram device: %w", err)
 	}
 
 	var e persist.Encoder
-	e.U8(controllerSnapshotVersion)
-	e.U64(c.ConfigDigest())
-	e.U64(c.round)
-	e.Bytes(c.src.Snapshot())
-	e.Bytes(c.selSrc.Snapshot())
-	encodeSelector(&e, c.sel)
-	e.Bytes(c.acct.Snapshot())
+	e.U8(sectionSnapshotVersion)
+	e.U64(p.cfg.Digest())
+	e.U64(p.round)
+	e.Bytes(p.src.Snapshot())
+	e.Bytes(p.selSrc.Snapshot())
+	encodeSelector(&e, p.sel)
+	e.Bytes(p.acct.Snapshot())
 	e.Bytes(scratchBlob)
-	e.Bool(c.engine != nil)
+	e.Bool(p.engine != nil)
 	e.Bytes(engineBlob)
-	e.U8(uint8(c.cfg.Backend))
+	e.U8(uint8(p.cfg.Backend))
 	e.Bytes(mainBlob)
 	e.Bytes(bufBlob)
 	e.Bytes(ssdBlob)
@@ -158,30 +296,23 @@ func (c *Controller) Snapshot() ([]byte, error) {
 	return e.Finish(), nil
 }
 
-// Restore replaces the controller's dynamic state with a snapshot taken
-// from a controller built with an identical Config.
-func (c *Controller) Restore(b []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.inRound || c.staged != nil {
+// Restore implements shard.Partition: it replaces the partition's
+// dynamic state with a section taken under an identical Config.
+func (p *partition) Restore(b []byte) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.inRound {
 		return ErrRoundOpen
 	}
-	c.pending = nil // restored state supersedes any deferred pass
-	if c.eng != nil {
-		return c.restoreSharded(b)
-	}
-
+	p.pending = nil // restored state supersedes any deferred pass
 	d := persist.NewDecoder(b)
-	if v := d.U8(); d.Err() == nil && v != controllerSnapshotVersion {
-		if v == shardedSnapshotVersion {
-			return errors.New("fedora: snapshot was taken by a sharded controller; configure the same Shards count to restore it")
-		}
-		return fmt.Errorf("fedora: unsupported controller snapshot version %d", v)
+	if v := d.U8(); d.Err() == nil && v != sectionSnapshotVersion {
+		return fmt.Errorf("fedora: unsupported shard snapshot version %d", v)
 	}
 	digest := d.U64()
-	if d.Err() == nil && digest != c.ConfigDigest() {
+	if d.Err() == nil && digest != p.cfg.Digest() {
 		return fmt.Errorf("fedora: snapshot config digest %016x != controller %016x (configs differ)",
-			digest, c.ConfigDigest())
+			digest, p.cfg.Digest())
 	}
 	round := d.U64()
 	srcBlob := d.Bytes()
@@ -202,128 +333,55 @@ func (c *Controller) Restore(b []byte) error {
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("fedora: controller snapshot: %w", err)
 	}
-	if Backend(backend) != c.cfg.Backend {
+	if Backend(backend) != p.cfg.Backend {
 		return fmt.Errorf("fedora: snapshot backend %v != controller backend %v",
-			Backend(backend), c.cfg.Backend)
+			Backend(backend), p.cfg.Backend)
 	}
-	if hasEngine != (c.engine != nil) {
+	if hasEngine != (p.engine != nil) {
 		return fmt.Errorf("fedora: snapshot encryption (engine=%v) does not match controller", hasEngine)
 	}
 
-	if err := c.src.Restore(srcBlob); err != nil {
+	if err := p.src.Restore(srcBlob); err != nil {
 		return fmt.Errorf("fedora: rng: %w", err)
 	}
-	if err := c.selSrc.Restore(selSrcBlob); err != nil {
+	if err := p.selSrc.Restore(selSrcBlob); err != nil {
 		return fmt.Errorf("fedora: selector rng: %w", err)
 	}
-	if err := c.acct.Restore(acctBlob); err != nil {
+	if err := p.acct.Restore(acctBlob); err != nil {
 		return fmt.Errorf("fedora: accountant: %w", err)
 	}
-	if err := c.scratch.Restore(scratchBlob); err != nil {
+	if err := p.scratch.Restore(scratchBlob); err != nil {
 		return fmt.Errorf("fedora: scratchpad: %w", err)
 	}
-	if c.engine != nil {
-		if err := c.engine.Restore(engineBlob); err != nil {
+	if p.engine != nil {
+		if err := p.engine.Restore(engineBlob); err != nil {
 			return fmt.Errorf("fedora: engine: %w", err)
 		}
 	}
 	// Devices first (they hold the tree bytes the ORAMs index into),
 	// then the ORAM metadata over them.
-	if err := c.ssd.Restore(ssdBlob); err != nil {
+	if err := p.ssd.Restore(ssdBlob); err != nil {
 		return fmt.Errorf("fedora: ssd device: %w", err)
 	}
-	if err := c.dram.Restore(dramBlob); err != nil {
+	if err := p.dram.Restore(dramBlob); err != nil {
 		return fmt.Errorf("fedora: dram device: %w", err)
 	}
-	if c.path != nil {
-		if err := c.path.Restore(mainBlob); err != nil {
+	if p.path != nil {
+		if err := p.path.Restore(mainBlob); err != nil {
 			return fmt.Errorf("fedora: main oram: %w", err)
 		}
 	} else {
-		if err := c.raw.Restore(mainBlob); err != nil {
+		if err := p.raw.Restore(mainBlob); err != nil {
 			return fmt.Errorf("fedora: main oram: %w", err)
 		}
 	}
-	if err := c.buf.Restore(bufBlob); err != nil {
+	if err := p.buf.Restore(bufBlob); err != nil {
 		return fmt.Errorf("fedora: buffer oram: %w", err)
 	}
-	c.round = round
-	c.sel.requestCount = requestCount
-	c.sel.readBefore = readBefore
+	p.round = round
+	p.sel.requestCount = requestCount
+	p.sel.readBefore = readBefore
 	return nil
-}
-
-// restoreSharded restores a sharded controller from a v2 snapshot. The
-// caller holds c.mu. The shard count is checked before the digest so a
-// mismatched partitioning gets the specific error, not the generic one.
-func (c *Controller) restoreSharded(b []byte) error {
-	d := persist.NewDecoder(b)
-	v := d.U8()
-	if d.Err() == nil && v != shardedSnapshotVersion {
-		if v == controllerSnapshotVersion {
-			return fmt.Errorf("fedora: snapshot was taken by an unsharded controller, this one is configured with %d shards", c.cfg.Shards)
-		}
-		return fmt.Errorf("fedora: unsupported controller snapshot version %d", v)
-	}
-	shards := int(d.U32())
-	if d.Err() == nil && shards != c.cfg.Shards {
-		return fmt.Errorf("fedora: snapshot was taken with %d shards, controller is configured with %d — restore requires an identical shard count", shards, c.cfg.Shards)
-	}
-	digest := d.U64()
-	if d.Err() == nil && digest != c.ConfigDigest() {
-		return fmt.Errorf("fedora: snapshot config digest %016x != controller %016x (configs differ)",
-			digest, c.ConfigDigest())
-	}
-	round := d.U64()
-	engBlob := d.Bytes()
-	if err := d.Err(); err != nil {
-		return fmt.Errorf("fedora: controller snapshot: %w", err)
-	}
-	if err := c.eng.Restore(engBlob); err != nil {
-		return err
-	}
-	c.round = round
-	return nil
-}
-
-// RecoverQuarantined restores every quarantined shard from its section
-// of a sharded controller snapshot (the newest durable checkpoint) and
-// returns the shard indices recovered. Healthy shards — and the
-// controller round counter, which tracks the rounds the survivors kept
-// serving — are untouched: only the quarantined shards' state is
-// replaced, rolling them back to checkpoint time (the bounded data-loss
-// window ARCHITECTURE.md's degradation matrix documents). It requires a
-// quiesced controller and a snapshot with matching geometry and config
-// digest, and returns (nil, nil) when nothing is quarantined.
-func (c *Controller) RecoverQuarantined(b []byte) ([]int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.inRound || c.staged != nil {
-		return nil, ErrRoundOpen
-	}
-	if c.eng == nil {
-		return nil, nil // monolithic controllers have no quarantine state
-	}
-	d := persist.NewDecoder(b)
-	v := d.U8()
-	if d.Err() == nil && v != shardedSnapshotVersion {
-		return nil, fmt.Errorf("fedora: recover: unsupported controller snapshot version %d", v)
-	}
-	shards := int(d.U32())
-	if d.Err() == nil && shards != c.cfg.Shards {
-		return nil, fmt.Errorf("fedora: recover: snapshot was taken with %d shards, controller is configured with %d", shards, c.cfg.Shards)
-	}
-	digest := d.U64()
-	if d.Err() == nil && digest != c.ConfigDigest() {
-		return nil, fmt.Errorf("fedora: recover: snapshot config digest %016x != controller %016x (configs differ)",
-			digest, c.ConfigDigest())
-	}
-	_ = d.U64() // snapshot round: NOT restored — survivors advanced past it
-	engBlob := d.Bytes()
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("fedora: recover: %w", err)
-	}
-	return c.eng.Recover(engBlob)
 }
 
 // encodeSelector writes the selector's cross-round metadata (sorted for

@@ -29,7 +29,11 @@ import (
 // executes exactly the op sequence of sync mode — same accesses, same
 // order, same RNG draws — which is what keeps model fingerprints
 // bit-identical and the obliviousness/ε arguments unchanged (see
-// ARCHITECTURE §15 for the leakage analysis).
+// ARCHITECTURE §15 for the leakage analysis). The buffer ORAM keeps sync
+// mode's order as well: serves that arrive while loads are still
+// streaming in queue their buffer ops behind the last load (see
+// drainQueue), and uploads wait for the stream to finish, so snapshots
+// are byte-identical in both modes.
 //
 // Single-phase callers need no changes: BeginRound without a prior
 // StageRound plans inline (cheap) and still gets the background fetcher
@@ -122,7 +126,7 @@ func (c *Controller) StageRound(requests [][]uint64) error {
 			return ErrStageMismatch
 		}
 	}
-	if _, err := c.flattenRequests(requests); err != nil {
+	if _, err := c.cfg.flattenRequests(requests); err != nil {
 		return err
 	}
 	// Deep-copy: the caller may reuse its slices before the background
@@ -157,10 +161,10 @@ func (c *Controller) kickStageLocked() {
 // runFetcher is the round's background I/O goroutine: it drains the
 // previous round's deferred write-back pass, then executes the planned
 // main-ORAM reads, publishing each loaded row to the stream so blocked
-// serves wake per row. It takes c.mu per op, so serves and aggregates
+// serves wake per row. It takes p.mu per op, so serves and aggregates
 // interleave with the fetch stream.
-func (r *Round) runFetcher(plan []fetchOp, pending *evictPass) {
-	c := r.c
+func (r *partRound) runFetcher(plan []fetchOp, pending *evictPass) {
+	p := r.p
 	st := r.stream
 	if pending != nil {
 		evictStart := time.Now()
@@ -168,15 +172,15 @@ func (r *Round) runFetcher(plan []fetchOp, pending *evictPass) {
 			st.finish(err)
 			return
 		}
-		c.mu.Lock()
+		p.mu.Lock()
 		r.stats.EvictWallTime = time.Since(evictStart)
-		c.mu.Unlock()
+		p.mu.Unlock()
 	}
 	fetchStart := time.Now()
 	for _, op := range plan {
-		c.mu.Lock()
+		p.mu.Lock()
 		if r.done {
-			c.mu.Unlock()
+			p.mu.Unlock()
 			st.finish(ErrRoundFinished)
 			return
 		}
@@ -186,47 +190,82 @@ func (r *Round) runFetcher(plan []fetchOp, pending *evictPass) {
 		} else {
 			err = r.fetchRow(op.row)
 		}
-		c.mu.Unlock()
+		p.mu.Unlock()
 		if err != nil {
 			st.finish(err)
 			return
 		}
-		if !op.dummy {
-			st.markReady(op.row)
+	}
+	p.mu.Lock()
+	r.stats.PrefetchWallTime = time.Since(fetchStart)
+	p.mu.Unlock()
+	r.drainQueue()
+}
+
+// drainQueue applies the buffer-ORAM ops that serves queued while the
+// loads were streaming in, in arrival order, then marks the stream done
+// — from then on callers apply their ops directly. The buffer ORAM
+// therefore sees every load before any serve or upload, exactly as in
+// sync mode, so its DRAM image never depends on scheduling.
+func (r *partRound) drainQueue() {
+	st := r.stream
+	for {
+		st.mu.Lock()
+		ops := st.queue
+		st.queue = nil
+		if len(ops) == 0 {
+			st.done = true
+			st.cond.Broadcast()
+			st.mu.Unlock()
+			return
+		}
+		st.mu.Unlock()
+		var err error
+		r.p.mu.Lock()
+		for _, op := range ops {
+			if r.done {
+				err = ErrRoundFinished
+			} else {
+				err = op()
+			}
+			if err != nil {
+				break
+			}
+		}
+		r.p.mu.Unlock()
+		if err != nil {
+			st.finish(err)
+			return
 		}
 	}
-	c.mu.Lock()
-	r.stats.PrefetchWallTime = time.Since(fetchStart)
-	c.mu.Unlock()
-	st.finish(nil)
 }
 
 // drainPending applies a claimed deferred write-back pass op by op,
 // aborting if the round is closed underneath it (AbortRound).
-func (r *Round) drainPending(p *evictPass) error {
-	c := r.c
-	for i, row := range p.rows {
-		c.mu.Lock()
+func (r *partRound) drainPending(pass *evictPass) error {
+	p := r.p
+	for i, row := range pass.rows {
+		p.mu.Lock()
 		if r.done {
-			c.mu.Unlock()
+			p.mu.Unlock()
 			return ErrRoundFinished
 		}
-		d, err := c.writeBackRow(row, p.entries[i])
+		d, err := p.writeBackRow(row, pass.entries[i])
 		r.stats.EvictTime += d
-		c.mu.Unlock()
+		p.mu.Unlock()
 		if err != nil {
 			return err
 		}
 	}
-	for i := 0; i < p.dummy; i++ {
-		c.mu.Lock()
+	for i := 0; i < pass.dummy; i++ {
+		p.mu.Lock()
 		if r.done {
-			c.mu.Unlock()
+			p.mu.Unlock()
 			return ErrRoundFinished
 		}
-		d, err := c.writeBackDummy()
+		d, err := p.writeBackDummy()
 		r.stats.EvictTime += d
-		c.mu.Unlock()
+		p.mu.Unlock()
 		if err != nil {
 			return err
 		}
@@ -235,61 +274,63 @@ func (r *Round) drainPending(p *evictPass) error {
 }
 
 // drainEvictLocked synchronously applies any pending deferred write-back
-// pass. Called with c.mu held at the drain points that need the main
-// ORAM caught up: PeekRow, Snapshot and Close.
-func (c *Controller) drainEvictLocked() error {
-	p := c.pending
-	if p == nil {
+// pass. Called with p.mu held at the drain points that need the main
+// ORAM caught up: peekRow, Snapshot and close.
+func (p *partition) drainEvictLocked() error {
+	pass := p.pending
+	if pass == nil {
 		return nil
 	}
-	c.pending = nil
-	for i, row := range p.rows {
-		if _, err := c.writeBackRow(row, p.entries[i]); err != nil {
+	p.pending = nil
+	for i, row := range pass.rows {
+		if _, err := p.writeBackRow(row, pass.entries[i]); err != nil {
 			return err
 		}
 	}
-	for i := 0; i < p.dummy; i++ {
-		if _, err := c.writeBackDummy(); err != nil {
+	for i := 0; i < pass.dummy; i++ {
+		if _, err := p.writeBackDummy(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// writeBackRow is one main-ORAM write-back (c.mu held).
-func (c *Controller) writeBackRow(row uint64, entry []float32) (time.Duration, error) {
-	if c.path != nil {
-		return c.path.Write(row, f32bytes(entry))
+// writeBackRow is one main-ORAM write-back (p.mu held).
+func (p *partition) writeBackRow(row uint64, entry []float32) (time.Duration, error) {
+	if p.path != nil {
+		return p.path.Write(row, f32bytes(entry))
 	}
 	var payload []byte
-	if !c.cfg.Phantom {
+	if !p.cfg.Phantom {
 		payload = f32bytes(entry)
 	}
-	return c.raw.WriteBack(row, payload)
+	return p.raw.WriteBack(row, payload)
 }
 
-// writeBackDummy is one main-ORAM dummy write-back (c.mu held). Path
+// writeBackDummy is one main-ORAM dummy write-back (p.mu held). Path
 // ORAM+ has no write-back schedule; it burns an indistinguishable read
 // instead, drawing the same RNG stream the sync path did.
-func (c *Controller) writeBackDummy() (time.Duration, error) {
-	if c.path != nil {
-		_, d, err := c.path.Read(uint64(c.rng.Int63n(int64(c.cfg.NumRows))))
+func (p *partition) writeBackDummy() (time.Duration, error) {
+	if p.path != nil {
+		_, d, err := p.path.Read(uint64(p.rng.Int63n(int64(p.cfg.NumRows))))
 		return d, err
 	}
-	return c.raw.WriteBackDummy()
+	return p.raw.WriteBackDummy()
 }
 
-// streamState publishes the fetcher's progress to blocked serves: will
-// is the planned row set, ready the loaded subset, served the rows some
-// client consumed. blockedWall accumulates the union of intervals in
-// which at least one serve was waiting — the round's true blocking read
-// time (RoundStats.ReadWallTime in prefetch mode).
+// streamState publishes the fetcher's progress to serves: will is the
+// planned row set, ready the loaded rows with the values the fetcher
+// read, served the rows some client consumed, and queue the buffer-ORAM
+// ops deferred behind the loads. blockedWall accumulates the union of
+// intervals in which at least one serve was waiting — the round's true
+// blocking read time (RoundStats.ReadWallTime in prefetch mode).
 type streamState struct {
 	mu           sync.Mutex
 	cond         *sync.Cond
 	will         map[uint64]bool
-	ready        map[uint64]bool
+	ready        map[uint64][]float32
 	served       map[uint64]bool
+	queue        []func() error
 	done         bool
 	err          error
 	waiters      int
@@ -300,7 +341,7 @@ type streamState struct {
 func newStreamState(plan []fetchOp) *streamState {
 	st := &streamState{
 		will:   make(map[uint64]bool),
-		ready:  make(map[uint64]bool),
+		ready:  make(map[uint64][]float32),
 		served: make(map[uint64]bool),
 	}
 	st.cond = sync.NewCond(&st.mu)
@@ -312,16 +353,18 @@ func newStreamState(plan []fetchOp) *streamState {
 	return st
 }
 
-// waitFor blocks until row is loaded. Rows outside the plan return
-// immediately (they take the buffer's miss path). Returns the fetcher's
-// error if it failed.
-func (st *streamState) waitFor(row uint64) error {
+// serve blocks until row is loaded (rows outside the plan do not wait:
+// they take the buffer's miss path). While the fetcher is still loading
+// it queues op behind the loads and answers from the fetched value
+// (queued true); once every load has landed the caller applies op
+// itself. Returns the fetcher's error if it failed.
+func (st *streamState) serve(row uint64, op func() error) (entry []float32, ok, queued bool, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.will[row] {
 		st.served[row] = true
 	}
-	for st.will[row] && !st.ready[row] && !st.done && st.err == nil {
+	for st.will[row] && st.ready[row] == nil && !st.done {
 		if st.waiters == 0 {
 			st.blockedSince = time.Now()
 		}
@@ -332,13 +375,20 @@ func (st *streamState) waitFor(row uint64) error {
 			st.blockedWall += time.Since(st.blockedSince)
 		}
 	}
-	return st.err
+	if st.err != nil || st.done {
+		return nil, false, false, st.err
+	}
+	st.queue = append(st.queue, op)
+	if v := st.ready[row]; v != nil {
+		return append([]float32(nil), v...), true, true, nil
+	}
+	return nil, false, true, nil
 }
 
-// markReady publishes one loaded row.
-func (st *streamState) markReady(row uint64) {
+// markReady publishes one loaded row and the value the fetcher read.
+func (st *streamState) markReady(row uint64, entry []float32) {
 	st.mu.Lock()
-	st.ready[row] = true
+	st.ready[row] = entry
 	st.cond.Broadcast()
 	st.mu.Unlock()
 }
@@ -376,31 +426,25 @@ type PrefetchReport struct {
 	StagedRows int
 }
 
-// PrefetchReport returns the controller's prefetch counters (summed over
-// shards when sharded).
+// PrefetchReport returns the controller's prefetch counters, summed
+// over shards.
 func (c *Controller) PrefetchReport() PrefetchReport {
-	if c.eng != nil {
-		var rep PrefetchReport
-		for _, sub := range c.subs {
-			r := sub.PrefetchReport()
-			rep.Hits += r.Hits
-			rep.Wasted += r.Wasted
-			rep.StagedRows += r.StagedRows
-		}
-		return rep
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	rep := PrefetchReport{Hits: c.prefetchHits, Wasted: c.prefetchWasted}
-	if c.cur != nil && c.cur.stream != nil {
-		st := c.cur.stream
-		st.mu.Lock()
-		for row := range st.ready {
-			if !st.served[row] {
-				rep.StagedRows++
+	var rep PrefetchReport
+	for _, p := range c.parts {
+		p.mu.Lock()
+		rep.Hits += p.prefetchHits
+		rep.Wasted += p.prefetchWasted
+		if p.cur != nil && p.cur.stream != nil {
+			st := p.cur.stream
+			st.mu.Lock()
+			for row := range st.ready {
+				if !st.served[row] {
+					rep.StagedRows++
+				}
 			}
+			st.mu.Unlock()
 		}
-		st.mu.Unlock()
+		p.mu.Unlock()
 	}
 	return rep
 }

@@ -3,7 +3,6 @@ package fedora
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -20,33 +19,38 @@ import (
 const DummyRequest = obliv.InvalidID
 
 // RoundStats summarizes one FL round for the evaluation harness. The
-// canonical definition lives in the shard package (both the monolithic
-// pipeline here and the sharded engine produce it); the alias keeps
+// canonical definition lives in the shard package (each partition here
+// produces one and the engine merges them); the alias keeps
 // fedora.RoundStats the name the fl/api/experiment layers use.
 type RoundStats = shard.RoundStats
 
 // ShardStats is the per-shard breakdown attached to a sharded round.
 type ShardStats = shard.ShardStats
 
-// Round is an in-flight FL round (between BeginRound and Finish).
+// Round is an in-flight FL round (between BeginRound and Finish): a
+// handle on the engine round, which routes every row to its owning
+// shard's partition round.
 //
 // ServeEntry, SubmitGradient and Finish are safe for concurrent use by
 // multiple goroutines: multiple trainer workers may stage downloads and
-// uploads simultaneously while the controller's mutex keeps the ORAM
-// pipeline single-writer underneath. When the controller is sharded the
-// round delegates to the shard engine instead, and operations on rows
-// owned by different shards proceed in parallel.
+// uploads simultaneously while each partition's mutex keeps its ORAM
+// pipeline single-writer underneath; operations on rows owned by
+// different shards proceed in parallel.
 type Round struct {
 	c      *Controller
-	er     *shard.Round // sharded mode: the engine round (nil otherwise)
+	er     *shard.Round
 	number uint64
+}
+
+// partRound is one partition's in-flight round.
+type partRound struct {
+	p      *partition
 	loaded map[uint64]bool
 	stats  RoundStats
 	done   bool
 	// stream carries the lookahead pipeline's per-row staging state when
-	// Config.Prefetch is on and the controller is monolithic: serves
-	// block per row until the background fetcher has loaded it. Nil in
-	// sync mode and in sharded mode (each sub-controller owns one).
+	// Config.Prefetch is on: serves block per row until the background
+	// fetcher has loaded it. Nil in sync mode.
 	stream *streamState
 }
 
@@ -68,7 +72,10 @@ var ErrShardUnavailable = shard.ErrShardUnavailable
 
 // BeginRound runs steps ①–③ for the given per-client request lists and
 // returns the Round handle used for serving, aggregation and completion.
-// Clients pad with DummyRequest in the hide-count mode.
+// Clients pad with DummyRequest in the hide-count mode. The engine
+// routes the requests and drives every shard's ①–③ concurrently; each
+// partition runs its own union, ε-FDP sampling and ORAM reads over its
+// row range (and, in prefetch mode, spawns its own fetcher).
 //
 // Two-phase callers stage the round first (StageRound) and then call
 // BeginRound with the SAME request lists: the staged round — whose plan
@@ -102,52 +109,55 @@ func (c *Controller) BeginRound(requests [][]uint64) (*Round, error) {
 }
 
 // beginRoundLocked is the single-phase round begin. The caller holds
-// c.mu; in prefetch mode the heavy ORAM reads are handed to a background
-// fetcher and only the (cheap) planning runs under the lock.
+// c.mu; in prefetch mode the heavy ORAM reads run on the partitions'
+// background fetchers and only the (cheap) planning runs under the lock.
 func (c *Controller) beginRoundLocked(requests [][]uint64) (*Round, error) {
 	if c.inRound {
 		return nil, ErrRoundInProgress
 	}
-	flat, err := c.flattenRequests(requests)
-	if err != nil {
+	if _, err := c.cfg.flattenRequests(requests); err != nil {
 		return nil, err
 	}
 	c.inRound = true
 	c.round++
-
-	// Sharded mode: the engine routes the requests and drives every
-	// shard's ①–③ concurrently; each sub-controller runs its own union,
-	// ε-FDP sampling and ORAM reads over its row range (and, in prefetch
-	// mode, spawns its own fetcher — the staging machinery lives only on
-	// this top-level controller).
-	if c.eng != nil {
-		er, err := c.eng.BeginRound(requests)
-		if err != nil {
-			c.inRound = false
-			return nil, err
-		}
-		return &Round{c: c, er: er, number: c.round}, nil
+	er, err := c.eng.BeginRound(requests)
+	if err != nil {
+		c.inRound = false
+		return nil, err
 	}
-	c.buf.SetRound(c.round)
+	return &Round{c: c, er: er, number: c.round}, nil
+}
 
-	r := &Round{c: c, loaded: make(map[uint64]bool), number: c.round}
+// beginRoundLocked runs one partition's steps ①–③. The caller holds
+// p.mu; in prefetch mode the main-ORAM reads are handed to a background
+// fetcher.
+func (p *partition) beginRoundLocked(requests [][]uint64) (*partRound, error) {
+	if p.inRound {
+		return nil, ErrRoundInProgress
+	}
+	flat, err := p.cfg.flattenRequests(requests)
+	if err != nil {
+		return nil, err
+	}
+	p.inRound = true
+	p.round++
+	p.buf.SetRound(p.round)
+
+	r := &partRound{p: p, loaded: make(map[uint64]bool)}
 	r.stats.K = len(flat)
 
-	if !c.cfg.Prefetch {
-		for start := 0; start < len(flat); start += c.cfg.ChunkSize {
-			end := start + c.cfg.ChunkSize
-			if end > len(flat) {
-				end = len(flat)
-			}
+	if !p.cfg.Prefetch {
+		for start := 0; start < len(flat); start += p.cfg.ChunkSize {
+			end := min(start+p.cfg.ChunkSize, len(flat))
 			if err := r.processChunk(flat[start:end]); err != nil {
-				c.inRound = false
+				p.inRound = false
 				return nil, err
 			}
 		}
-		r.stats.Chunks = c.acct.Chunks()
-		r.stats.RoundEpsilon = c.acct.RoundEpsilon()
-		c.acct = fdp.Accountant{} // reset per round
-		c.cur = r
+		r.stats.Chunks = p.acct.Chunks()
+		r.stats.RoundEpsilon = p.acct.RoundEpsilon()
+		p.acct = fdp.Accountant{} // reset per round
+		p.cur = r
 		return r, nil
 	}
 
@@ -158,47 +168,44 @@ func (c *Controller) beginRoundLocked(requests [][]uint64) (*Round, error) {
 	// fetcher FIRST, so the main ORAM sees the identical op sequence as
 	// sync mode; only the wall-clock placement changes.
 	var plan []fetchOp
-	for start := 0; start < len(flat); start += c.cfg.ChunkSize {
-		end := start + c.cfg.ChunkSize
-		if end > len(flat) {
-			end = len(flat)
-		}
+	for start := 0; start < len(flat); start += p.cfg.ChunkSize {
+		end := min(start+p.cfg.ChunkSize, len(flat))
 		ops, err := r.planChunk(flat[start:end])
 		if err != nil {
-			c.inRound = false
+			p.inRound = false
 			return nil, err
 		}
 		plan = append(plan, ops...)
 	}
-	r.stats.Chunks = c.acct.Chunks()
-	r.stats.RoundEpsilon = c.acct.RoundEpsilon()
-	c.acct = fdp.Accountant{} // reset per round
+	r.stats.Chunks = p.acct.Chunks()
+	r.stats.RoundEpsilon = p.acct.RoundEpsilon()
+	p.acct = fdp.Accountant{} // reset per round
 	r.stats.Prefetched = true
 	r.stream = newStreamState(plan)
-	pending := c.pending
-	c.pending = nil
-	c.cur = r
+	pending := p.pending
+	p.pending = nil
+	p.cur = r
 	go r.runFetcher(plan, pending)
 	return r, nil
 }
 
 // flattenRequests validates the per-client request lists against the
-// configured limits and returns them flattened. Caller holds c.mu.
-func (c *Controller) flattenRequests(requests [][]uint64) ([]uint64, error) {
-	if len(requests) > c.cfg.MaxClientsPerRound {
+// configured limits and returns them flattened.
+func (c *Config) flattenRequests(requests [][]uint64) ([]uint64, error) {
+	if len(requests) > c.MaxClientsPerRound {
 		return nil, fmt.Errorf("fedora: %d clients exceed the configured max %d",
-			len(requests), c.cfg.MaxClientsPerRound)
+			len(requests), c.MaxClientsPerRound)
 	}
 	var flat []uint64
 	for ci, reqs := range requests {
-		if len(reqs) > c.cfg.MaxFeaturesPerClient {
+		if len(reqs) > c.MaxFeaturesPerClient {
 			return nil, fmt.Errorf("fedora: client %d has %d features, max %d",
-				ci, len(reqs), c.cfg.MaxFeaturesPerClient)
+				ci, len(reqs), c.MaxFeaturesPerClient)
 		}
 		for _, row := range reqs {
-			if row != DummyRequest && row >= c.cfg.NumRows {
+			if row != DummyRequest && row >= c.NumRows {
 				return nil, fmt.Errorf("fedora: client %d requests row %d out of range %d",
-					ci, row, c.cfg.NumRows)
+					ci, row, c.NumRows)
 			}
 			flat = append(flat, row)
 		}
@@ -210,13 +217,13 @@ func (c *Controller) flattenRequests(requests [][]uint64) ([]uint64, error) {
 // mode, a behaviour-identical map dedup in phantom mode (running the
 // Θ(K·chunk) scan for a million requests would only re-derive the same
 // sizes). Either way the oblivious scan's DRAM traffic is charged.
-func (c *Controller) union(chunk []uint64) ([]uint64, int, time.Duration) {
+func (p *partition) union(chunk []uint64) ([]uint64, int, time.Duration) {
 	cost := obliv.UnionScanCost(len(chunk)) * 8 // 8-byte slots
-	if c.cfg.SortedUnion {
+	if p.cfg.SortedUnion {
 		cost = obliv.UnionSortedScanCost(len(chunk)) * 8
 	}
-	d := c.dram.Charge(0 /* read */, 0, int(cost))
-	if c.cfg.Phantom {
+	d := p.dram.Charge(0 /* read */, 0, int(cost))
+	if p.cfg.Phantom {
 		seen := make(map[uint64]bool, len(chunk))
 		var ids []uint64
 		for _, r := range chunk {
@@ -229,7 +236,7 @@ func (c *Controller) union(chunk []uint64) ([]uint64, int, time.Duration) {
 		return ids, len(ids), d
 	}
 	var res obliv.UnionResult
-	if c.cfg.SortedUnion {
+	if p.cfg.SortedUnion {
 		res = obliv.UnionSorted(chunk)
 	} else {
 		res = obliv.Union(chunk)
@@ -241,13 +248,13 @@ func (c *Controller) union(chunk []uint64) ([]uint64, int, time.Duration) {
 // union, ε-FDP sampling and the selection-policy ordering. It returns
 // the main-ORAM ops to execute — the exec half — which the sync path
 // runs inline (processChunk) and the prefetch path hands to the
-// background fetcher. Everything that consumes the controller's RNG or
+// background fetcher. Everything that consumes the partition's RNG or
 // selector state happens here, in chunk order, so the two modes draw
-// identical streams. The caller holds c.mu.
-func (r *Round) planChunk(chunk []uint64) ([]fetchOp, error) {
-	c := r.c
+// identical streams. The caller holds p.mu.
+func (r *partRound) planChunk(chunk []uint64) ([]fetchOp, error) {
+	p := r.p
 	wallStart := time.Now()
-	ids, kUnion, unionDur := c.union(chunk)
+	ids, kUnion, unionDur := p.union(chunk)
 	r.stats.UnionTime += unionDur
 	r.stats.UnionWallTime += time.Since(wallStart)
 	r.stats.KUnion += kUnion
@@ -258,16 +265,16 @@ func (r *Round) planChunk(chunk []uint64) ([]fetchOp, error) {
 	// ② choose k. Path ORAM+ has no mechanism: one main-ORAM access per
 	// request (Strawman 1 policy, Sec 6.1).
 	var k int
-	if c.cfg.Backend == BackendPathORAMPlus {
+	if p.cfg.Backend == BackendPathORAMPlus {
 		k = len(chunk)
 	} else {
 		var err error
-		k, err = c.mech.Sample(len(chunk), kUnion, c.rng)
+		k, err = p.mech.Sample(len(chunk), kUnion, p.rng)
 		if err != nil {
 			return nil, err
 		}
 	}
-	c.acct.Observe(c.effEps)
+	p.acct.Observe(p.effEps)
 	r.stats.KSampled += k
 	if k > kUnion {
 		r.stats.Dummy += k - kUnion
@@ -281,12 +288,12 @@ func (r *Round) planChunk(chunk []uint64) ([]fetchOp, error) {
 	if nReal > kUnion {
 		nReal = kUnion
 	}
-	c.sel.observe(ids)
-	ordered := c.sel.order(ids)
+	p.sel.observe(ids)
+	ordered := p.sel.order(ids)
 	ops := make([]fetchOp, 0, k)
 	for _, row := range ordered[:nReal] {
 		ops = append(ops, fetchOp{row: row})
-		c.sel.markRead(row)
+		p.sel.markRead(row)
 	}
 	for i := 0; i < k-nReal; i++ {
 		ops = append(ops, fetchOp{dummy: true})
@@ -295,8 +302,8 @@ func (r *Round) planChunk(chunk []uint64) ([]fetchOp, error) {
 }
 
 // processChunk runs steps ①–③ for one chunk of requests, synchronously.
-// The caller (beginRoundLocked) holds c.mu.
-func (r *Round) processChunk(chunk []uint64) error {
+// The caller (beginRoundLocked) holds p.mu.
+func (r *partRound) processChunk(chunk []uint64) error {
 	ops, err := r.planChunk(chunk)
 	if err != nil {
 		return err
@@ -319,8 +326,8 @@ func (r *Round) processChunk(chunk []uint64) error {
 // fetchRow moves one row from the main ORAM to the buffer ORAM. Rows
 // already resident (cross-chunk duplicates) still cost a full,
 // indistinguishable access pair.
-func (r *Round) fetchRow(row uint64) error {
-	c := r.c
+func (r *partRound) fetchRow(row uint64) error {
+	p := r.p
 	if r.loaded[row] {
 		r.stats.CrossChunkDup++
 		return r.dummyFetch()
@@ -330,80 +337,78 @@ func (r *Round) fetchRow(row uint64) error {
 		d       time.Duration
 		err     error
 	)
-	if c.path != nil {
-		payload, d, err = c.path.Read(row)
+	if p.path != nil {
+		payload, d, err = p.path.Read(row)
 	} else {
-		payload, d, err = c.raw.AOAccess(row)
+		payload, d, err = p.raw.AOAccess(row)
 	}
 	r.stats.ReadTime += d
 	if err != nil {
 		return err
 	}
 	var entry []float32
-	if c.cfg.Phantom {
-		entry = make([]float32, c.cfg.Dim)
+	if p.cfg.Phantom {
+		entry = make([]float32, p.cfg.Dim)
 	} else {
 		entry = decodeF32s(payload)
 	}
-	d, err = c.buf.Load(row, entry)
+	d, err = p.buf.Load(row, entry)
 	r.stats.ReadTime += d
 	if err != nil {
 		return err
 	}
 	r.loaded[row] = true
+	if r.stream != nil {
+		r.stream.markReady(row, entry)
+	}
 	return nil
 }
 
 // dummyFetch burns an indistinguishable main-ORAM + buffer-ORAM access.
-func (r *Round) dummyFetch() error {
-	c := r.c
+func (r *partRound) dummyFetch() error {
+	p := r.p
 	var (
 		d   time.Duration
 		err error
 	)
-	if c.path != nil {
-		_, d, err = c.path.Read(uint64(c.rng.Int63n(int64(c.cfg.NumRows))))
+	if p.path != nil {
+		_, d, err = p.path.Read(uint64(p.rng.Int63n(int64(p.cfg.NumRows))))
 	} else {
-		d, err = c.raw.AODummy()
+		d, err = p.raw.AODummy()
 	}
 	r.stats.ReadTime += d
 	if err != nil {
 		return err
 	}
-	d, err = c.buf.LoadDummy()
+	d, err = p.buf.LoadDummy()
 	r.stats.ReadTime += d
 	return err
 }
 
-// ServeEntry serves a client's download request (step ④). ok reports
-// whether the entry was read this round; rows sacrificed by the ε-FDP
-// mechanism (k < k_union) return ok = false, and the caller applies its
-// lost-entry policy (our FL layer, like the paper's prototype, drops the
-// affected training samples).
-func (r *Round) ServeEntry(row uint64) (entry []float32, ok bool, err error) {
-	if r.er != nil {
-		// Sharded: the engine routes to the owning shard; rows on
-		// different shards are served concurrently.
-		entry, ok, err := r.er.ServeEntry(row)
-		if errors.Is(err, shard.ErrRoundFinished) {
-			err = ErrRoundFinished
-		}
-		return entry, ok, err
-	}
+// ServeEntry serves a LOCAL row from the buffer ORAM (step ④); ok is
+// false for rows the ε-FDP mechanism sacrificed this round. In prefetch
+// mode it blocks only until the fetcher has loaded the row.
+func (r *partRound) ServeEntry(row uint64) ([]float32, bool, error) {
 	if r.stream != nil {
-		// Lookahead pipeline: block until the fetcher has loaded this row
-		// (rows outside the staged plan — sacrificed by the mechanism —
-		// pass straight through to the usual miss path below).
-		if err := r.stream.waitFor(row); err != nil {
-			return nil, false, err
+		entry, ok, queued, err := r.stream.serve(row, func() error {
+			_, _, err := r.serveLocked(row)
+			return err
+		})
+		if queued || err != nil {
+			return entry, ok, err
 		}
 	}
-	r.c.mu.Lock()
-	defer r.c.mu.Unlock()
+	r.p.mu.Lock()
+	defer r.p.mu.Unlock()
 	if r.done {
 		return nil, false, ErrRoundFinished
 	}
-	entry, d, err := r.c.buf.Serve(row)
+	return r.serveLocked(row)
+}
+
+// serveLocked is step ④ on the buffer ORAM (p.mu held).
+func (r *partRound) serveLocked(row uint64) ([]float32, bool, error) {
+	entry, d, err := r.p.buf.Serve(row)
 	r.stats.ServeTime += d
 	if errors.Is(err, bufferoram.ErrNotLoaded) {
 		return nil, false, nil
@@ -414,112 +419,70 @@ func (r *Round) ServeEntry(row uint64) (entry []float32, ok bool, err error) {
 	return entry, true, nil
 }
 
-// SubmitGradient folds one client's gradient for a row into the round's
-// aggregate (step ⑥). delivered is false when the row was not resident
-// (the gradient is dropped, matching a lost entry).
-func (r *Round) SubmitGradient(row uint64, grad []float32, nSamples int) (delivered bool, err error) {
-	if r.er != nil {
-		delivered, err = r.er.SubmitGradient(row, grad, nSamples)
-		if errors.Is(err, shard.ErrRoundFinished) {
-			err = ErrRoundFinished
-		}
-		return delivered, err
-	}
+// SubmitGradient folds one client's gradient into a LOCAL row (step ⑥).
+func (r *partRound) SubmitGradient(row uint64, grad []float32, nSamples int) (bool, error) {
+	return r.upload(func() (bool, error) { return r.aggregated(r.p.buf.Aggregate(row, grad, nSamples)) })
+}
+
+// SubmitAggregate folds a pre-weighted multi-client sum into a LOCAL
+// row, bypassing the aggregator's per-client Pre step.
+func (r *partRound) SubmitAggregate(row uint64, sum []float32, count float32) (bool, error) {
+	return r.upload(func() (bool, error) { return r.aggregated(r.p.buf.AggregateRaw(row, sum, count)) })
+}
+
+// upload applies one buffer-ORAM aggregation op under p.mu. In prefetch
+// mode it first waits for the stream to finish (every load and queued
+// serve applied), as Finish does: uploads normally follow training, by
+// when the fetcher is long done, so they need no queue of their own.
+func (r *partRound) upload(op func() (bool, error)) (bool, error) {
 	if r.stream != nil {
-		// Defensive: gradients normally follow a serve (so the row is
-		// loaded), but an out-of-order caller must not see a transient
-		// miss for a row the fetcher is still loading.
-		if err := r.stream.waitFor(row); err != nil {
+		if err := r.stream.wait(); err != nil {
 			return false, err
 		}
 	}
-	r.c.mu.Lock()
-	defer r.c.mu.Unlock()
+	r.p.mu.Lock()
+	defer r.p.mu.Unlock()
 	if r.done {
 		return false, ErrRoundFinished
 	}
-	d, err := r.c.buf.Aggregate(row, grad, nSamples)
+	return op()
+}
+
+// aggregated accounts one aggregation op: delivered is false when the
+// row was not resident (the contribution is dropped, matching a lost
+// entry).
+func (r *partRound) aggregated(d time.Duration, err error) (bool, error) {
 	r.stats.AggregateTime += d
 	if errors.Is(err, bufferoram.ErrNotLoaded) {
 		return false, nil
 	}
-	if err != nil {
-		return false, err
-	}
-	return true, nil
+	return err == nil, err
 }
 
-// SubmitAggregate folds an already-aggregated multi-client contribution
-// for a row into the round's buffer: sum is Σ_c n_c·Δθ_c and count is
-// Σ_c n_c over the contributing clients. This is the upload plane's
-// entry point (internal/wire): the per-client FedAvg pre-weighting
-// happened client-side before masking, so the buffer's aggregator Pre
-// is bypassed — only the Post division by the total count runs at
-// Finish. delivered is false when the row was not resident.
-func (r *Round) SubmitAggregate(row uint64, sum []float32, count float32) (delivered bool, err error) {
-	if r.er != nil {
-		delivered, err = r.er.SubmitAggregate(row, sum, count)
-		if errors.Is(err, shard.ErrRoundFinished) {
-			err = ErrRoundFinished
-		}
-		return delivered, err
-	}
-	if r.stream != nil {
-		if err := r.stream.waitFor(row); err != nil {
-			return false, err
-		}
-	}
-	r.c.mu.Lock()
-	defer r.c.mu.Unlock()
-	if r.done {
-		return false, ErrRoundFinished
-	}
-	d, err := r.c.buf.AggregateRaw(row, sum, count)
-	r.stats.AggregateTime += d
-	if errors.Is(err, bufferoram.ErrNotLoaded) {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// Finish applies aggregated updates back to the main ORAM (step ⑦) and
-// closes the round.
-func (r *Round) Finish() (RoundStats, error) {
-	if r.er != nil {
-		st, err := r.er.Finish()
-		if errors.Is(err, shard.ErrRoundFinished) {
-			err = ErrRoundFinished
-		}
-		r.c.mu.Lock()
-		r.c.inRound = false
-		r.c.kickStageLocked()
-		r.c.mu.Unlock()
-		return st, err
-	}
+// Finish applies the aggregated updates back to the main ORAM (step ⑦)
+// and closes the partition's round.
+func (r *partRound) Finish() (RoundStats, error) {
 	if r.stream != nil {
 		// Wait out the fetcher: even rows no client consumed must be
 		// resident before the buffer unloads below (every planned row
 		// moves back, served or not — the adversary-visible counts do not
 		// depend on client behaviour).
 		if err := r.stream.wait(); err != nil {
-			r.c.mu.Lock()
+			r.p.mu.Lock()
 			st := r.stats
 			r.done = true
-			r.c.inRound = false
-			r.c.cur = nil
-			r.c.mu.Unlock()
+			r.p.inRound = false
+			r.p.cur = nil
+			r.p.mu.Unlock()
 			return st, err
 		}
 	}
-	r.c.mu.Lock()
-	defer r.c.mu.Unlock()
+	r.p.mu.Lock()
+	defer r.p.mu.Unlock()
 	if r.done {
 		return r.stats, ErrRoundFinished
 	}
-	c := r.c
+	p := r.p
 	wallStart := time.Now()
 	// Deterministic write-back order: map iteration would randomize the
 	// ORAM state evolution run-to-run, breaking bit-identical snapshots
@@ -537,39 +500,39 @@ func (r *Round) Finish() (RoundStats, error) {
 		// NEXT round's fetcher drains it before its own reads, keeping the
 		// main ORAM's op order identical to sync mode while moving the
 		// write-back wall off this round's critical path.
-		p := &evictPass{entries: make([][]float32, len(rows)), rows: rows, dummy: r.stats.Dummy}
+		pass := &evictPass{entries: make([][]float32, len(rows)), rows: rows, dummy: r.stats.Dummy}
 		for i, row := range rows {
-			entry, d, err := c.buf.Unload(row)
+			entry, d, err := p.buf.Unload(row)
 			r.stats.UpdateTime += d
 			if err != nil {
 				return r.stats, err
 			}
-			p.entries[i] = entry
+			pass.entries[i] = entry
 		}
 		for i := 0; i < r.stats.Dummy; i++ {
-			d, err := c.buf.UnloadDummy()
+			d, err := p.buf.UnloadDummy()
 			r.stats.UpdateTime += d
 			if err != nil {
 				return r.stats, err
 			}
 		}
-		c.pending = p
+		p.pending = pass
 		st := r.stream
 		st.mu.Lock()
 		r.stats.PrefetchHits = uint64(len(st.served))
 		r.stats.PrefetchWasted = uint64(len(st.will) - len(st.served))
 		r.stats.ReadWallTime = st.blockedWall
 		st.mu.Unlock()
-		c.prefetchHits += r.stats.PrefetchHits
-		c.prefetchWasted += r.stats.PrefetchWasted
+		p.prefetchHits += r.stats.PrefetchHits
+		p.prefetchWasted += r.stats.PrefetchWasted
 	} else {
 		for _, row := range rows {
-			entry, d, err := c.buf.Unload(row)
+			entry, d, err := p.buf.Unload(row)
 			r.stats.UpdateTime += d
 			if err != nil {
 				return r.stats, err
 			}
-			wd, err := c.writeBackRow(row, entry)
+			wd, err := p.writeBackRow(row, entry)
 			r.stats.UpdateTime += wd
 			if err != nil {
 				return r.stats, err
@@ -578,12 +541,12 @@ func (r *Round) Finish() (RoundStats, error) {
 		// Dummy write-backs keep the outbound access count at k (the
 		// adversary sees k entries move in each direction, Sec 4.3).
 		for i := 0; i < r.stats.Dummy; i++ {
-			d, err := c.writeBackDummy()
+			d, err := p.writeBackDummy()
 			r.stats.UpdateTime += d
 			if err != nil {
 				return r.stats, err
 			}
-			d, err = c.buf.UnloadDummy()
+			d, err = p.buf.UnloadDummy()
 			r.stats.UpdateTime += d
 			if err != nil {
 				return r.stats, err
@@ -592,10 +555,58 @@ func (r *Round) Finish() (RoundStats, error) {
 	}
 	r.stats.FinishWallTime = time.Since(wallStart)
 	r.done = true
-	c.inRound = false
-	c.cur = nil
-	c.kickStageLocked()
+	p.inRound = false
+	p.cur = nil
 	return r.stats, nil
+}
+
+// roundErr maps the engine's finished-round sentinel onto fedora's.
+func roundErr(err error) error {
+	if errors.Is(err, shard.ErrRoundFinished) {
+		return ErrRoundFinished
+	}
+	return err
+}
+
+// ServeEntry serves a client's download request (step ④), routed to the
+// owning shard. ok reports whether the entry was read this round; rows
+// sacrificed by the ε-FDP mechanism (k < k_union) return ok = false, and
+// the caller applies its lost-entry policy (our FL layer, like the
+// paper's prototype, drops the affected training samples).
+func (r *Round) ServeEntry(row uint64) (entry []float32, ok bool, err error) {
+	entry, ok, err = r.er.ServeEntry(row)
+	return entry, ok, roundErr(err)
+}
+
+// SubmitGradient folds one client's gradient for a row into the round's
+// aggregate (step ⑥). delivered is false when the row was not resident
+// (the gradient is dropped, matching a lost entry).
+func (r *Round) SubmitGradient(row uint64, grad []float32, nSamples int) (delivered bool, err error) {
+	delivered, err = r.er.SubmitGradient(row, grad, nSamples)
+	return delivered, roundErr(err)
+}
+
+// SubmitAggregate folds an already-aggregated multi-client contribution
+// for a row into the round's buffer: sum is Σ_c n_c·Δθ_c and count is
+// Σ_c n_c over the contributing clients. This is the upload plane's
+// entry point (internal/wire): the per-client FedAvg pre-weighting
+// happened client-side before masking, so the buffer's aggregator Pre
+// is bypassed — only the Post division by the total count runs at
+// Finish. delivered is false when the row was not resident.
+func (r *Round) SubmitAggregate(row uint64, sum []float32, count float32) (delivered bool, err error) {
+	delivered, err = r.er.SubmitAggregate(row, sum, count)
+	return delivered, roundErr(err)
+}
+
+// Finish applies aggregated updates back to the main ORAM (step ⑦) on
+// every shard, closes the round and kicks any staged next round.
+func (r *Round) Finish() (RoundStats, error) {
+	st, err := r.er.Finish()
+	r.c.mu.Lock()
+	r.c.inRound = false
+	r.c.kickStageLocked()
+	r.c.mu.Unlock()
+	return st, roundErr(err)
 }
 
 // f32bytes packs floats for the main ORAM payload.
@@ -610,8 +621,9 @@ func f32bytes(f []float32) []byte {
 // Remote clients touch many rows per round; serving them one HTTP
 // request at a time pays the wire overhead K times. The batch entry
 // points below amortize it: one call serves (or aggregates) a whole
-// working set, and on a sharded controller the rows fan out across the
-// per-shard pipelines concurrently.
+// working set. The rows are grouped by owning shard; each shard's group
+// runs in request order and the groups run concurrently, so a batch
+// leaves exactly the ORAM state the same calls made row by row would.
 
 // EntryResult is one row's outcome in a batched download: OK is false
 // for rows the ε-FDP mechanism sacrificed this round (the caller applies
@@ -634,13 +646,12 @@ type RowGradient struct {
 }
 
 // ServeEntries serves a batch of downloads (step ④), one EntryResult per
-// requested row, in request order. On a sharded controller rows owned by
-// different shards are served in parallel; monolithic controllers serve
-// sequentially (the controller mutex would serialize the goroutines
-// anyway). Duplicate rows are allowed and served independently.
+// requested row, in request order. Rows owned by different shards are
+// served in parallel. Duplicate rows are allowed and served
+// independently.
 func (r *Round) ServeEntries(rows []uint64) ([]EntryResult, error) {
 	out := make([]EntryResult, len(rows))
-	err := r.fanOut(len(rows), func(i int) error {
+	err := r.fanOut(len(rows), func(i int) uint64 { return rows[i] }, func(i int) error {
 		entry, ok, err := r.ServeEntry(rows[i])
 		if errors.Is(err, ErrShardUnavailable) {
 			// Degraded serving: the row's shard is quarantined. The batch
@@ -661,28 +672,23 @@ func (r *Round) ServeEntries(rows []uint64) ([]EntryResult, error) {
 }
 
 // SubmitGradients folds a batch of client gradients into the round's
-// aggregate (step ⑥), returning per-item delivery in input order. Rows
-// within one batch should be distinct: on a sharded controller two
-// gradients for the same row in the same batch may fold in either order
-// (floating-point aggregation is order-sensitive). Batches themselves
-// are applied in call order, which is what the FL merge step relies on
-// for seed-determinism.
+// aggregate (step ⑥), returning per-item delivery in input order.
+// Gradients for one shard fold in input order, so even repeated rows
+// aggregate deterministically; batches themselves are applied in call
+// order, which is what the FL merge step relies on for
+// seed-determinism.
 func (r *Round) SubmitGradients(grads []RowGradient) ([]bool, error) {
 	delivered := make([]bool, len(grads))
-	err := r.fanOut(len(grads), func(i int) error {
+	err := r.fanOut(len(grads), func(i int) uint64 { return grads[i].Row }, func(i int) error {
 		g := grads[i]
 		ok, err := r.SubmitGradient(g.Row, g.Grad, g.Samples)
 		if errors.Is(err, ErrShardUnavailable) {
 			// The shard quarantined mid-round; this gradient is lost, the
 			// rest of the batch still folds.
-			delivered[i] = false
 			return nil
 		}
-		if err != nil {
-			return err
-		}
 		delivered[i] = ok
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -704,18 +710,14 @@ type RowAggregate struct {
 // the wire aggregator emits each row at most once, in ascending order.
 func (r *Round) SubmitAggregates(aggs []RowAggregate) ([]bool, error) {
 	delivered := make([]bool, len(aggs))
-	err := r.fanOut(len(aggs), func(i int) error {
+	err := r.fanOut(len(aggs), func(i int) uint64 { return aggs[i].Row }, func(i int) error {
 		a := aggs[i]
 		ok, err := r.SubmitAggregate(a.Row, a.Sum, a.Count)
 		if errors.Is(err, ErrShardUnavailable) {
-			delivered[i] = false
 			return nil
 		}
-		if err != nil {
-			return err
-		}
 		delivered[i] = ok
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -723,39 +725,36 @@ func (r *Round) SubmitAggregates(aggs []RowAggregate) ([]bool, error) {
 	return delivered, nil
 }
 
-// fanOut runs fn over [0, n): concurrently over a bounded pool when the
-// controller is sharded (per-shard pipelines proceed in parallel),
-// sequentially otherwise. The lowest-index error wins, so failures are
-// deterministic regardless of scheduling.
-func (r *Round) fanOut(n int, fn func(i int) error) error {
-	if r.er == nil || n < 2 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
+// fanOut runs fn over [0, n), grouping the indices by the shard that
+// owns row(i). Each group runs sequentially in index order — the buffer
+// ORAM of a shard sees its rows in request order, never in scheduling
+// order — and the groups run concurrently. A group stops at its first
+// error; the lowest-index error wins, so failures are deterministic too.
+func (r *Round) fanOut(n int, row func(i int) uint64, fn func(i int) error) error {
+	groups := make([][]int, r.c.eng.Shards())
+	for i := 0; i < n; i++ {
+		s := 0
+		if rw := row(i); rw < r.c.cfg.NumRows {
+			s = r.c.eng.ShardOf(rw)
 		}
-		return nil
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
+		groups[s] = append(groups[s], i)
 	}
 	errs := make([]error, n)
-	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for _, g := range groups {
+		if len(g) == 0 {
+			continue
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				errs[i] = fn(i)
+			for _, i := range g {
+				if errs[i] = fn(i); errs[i] != nil {
+					return
+				}
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

@@ -246,18 +246,18 @@ func TestShardedRestoreMismatches(t *testing.T) {
 		t.Errorf("mismatch error does not name both counts: %v", err)
 	}
 
-	mono := newController(t, shardedCfg(0))
-	monoBlob, err := mono.Snapshot()
+	one := newController(t, shardedCfg(0))
+	oneBlob, err := one.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c4.Restore(monoBlob); err == nil ||
-		!strings.Contains(err.Error(), "unsharded") {
-		t.Errorf("unsharded→sharded restore error = %v", err)
+	if err := c4.Restore(oneBlob); err == nil ||
+		!strings.Contains(err.Error(), "1 shards") || !strings.Contains(err.Error(), "with 4") {
+		t.Errorf("one-shard→sharded restore error = %v", err)
 	}
-	if err := mono.Restore(blob4); err == nil ||
-		!strings.Contains(err.Error(), "sharded controller") {
-		t.Errorf("sharded→unsharded restore error = %v", err)
+	if err := one.Restore(blob4); err == nil ||
+		!strings.Contains(err.Error(), "4 shards") || !strings.Contains(err.Error(), "with 1") {
+		t.Errorf("sharded→one-shard restore error = %v", err)
 	}
 }
 

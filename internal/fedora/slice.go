@@ -21,11 +21,10 @@ import (
 
 // SliceConfig derives the Config of a cluster member serving the
 // contiguous shard slice [first, first+count) of the global sharded
-// config. A one-shard slice becomes the monolithic sub-controller the
-// single-process engine would have built for that shard (same derived
-// seed, storage prefix, device names and row offset); a wider slice
-// becomes a sharded controller with ShardBase pinning the global
-// indices.
+// config. A one-shard slice becomes the partition config the
+// single-process engine builds for that shard (same derived seed,
+// storage prefix, device names and row offset); a wider slice keeps the
+// global seed and pins the global indices with ShardBase.
 //
 // HideCount is rejected for proper multi-shard slices: dummy padding
 // routes by GLOBAL (client, position) round-robin, which a member's
@@ -53,26 +52,8 @@ func SliceConfig(global Config, first, count int) (Config, error) {
 		return global, nil
 	}
 	if count == 1 {
-		// Exactly the sub-config newSharded builds for global shard `first`.
-		sub := global
-		sub.Shards = 0
-		sub.ShardWorkers = 0
-		sub.ShardBase = first
-		sub.NumRows = shard.Rows(global.NumRows, S, first)
-		sub.Seed = shard.Seed(global.Seed, first)
-		sub.Storage.Prefix = fmt.Sprintf("shard%d", first)
-		if global.InitRow != nil {
-			base := shard.Base(global.NumRows, S, first)
-			init := global.InitRow
-			sub.InitRow = func(row uint64) []float32 { return init(base + row) }
-		}
-		if global.WrapDevice != nil {
-			wrap, idx := global.WrapDevice, first
-			sub.WrapDevice = func(name string, d device.Device) device.Device {
-				return wrap(fmt.Sprintf("shard%d/%s", idx, name), d)
-			}
-		}
-		return sub, nil
+		// Exactly the partition config New builds for global shard first.
+		return shardConfig(global, first), nil
 	}
 	slice := global
 	slice.Shards = count
@@ -83,10 +64,49 @@ func SliceConfig(global Config, first, count int) (Config, error) {
 		init := global.InitRow
 		slice.InitRow = func(row uint64) []float32 { return init(rowBase + row) }
 	}
-	// Seed, Storage and WrapDevice stay global: newSharded derives the
+	// Seed, Storage and WrapDevice stay global: shardConfig derives the
 	// per-shard seed, prefix and device name from ShardBase+i, which are
 	// the global shard indices.
 	return slice, nil
+}
+
+// shardConfig derives the partition config of local shard i of cfg.
+// With one shard that is cfg itself (root Seed, devices "ssd"/"dram",
+// no storage prefix), so a one-shard controller runs exactly the
+// single pipeline. With more, shard i becomes a one-shard config over
+// its row range, keyed by its GLOBAL index g = ShardBase+i: the seed,
+// storage prefix and device names derive from g alone, so results are
+// bit-identical at any worker count and a cluster member's shard is
+// state-identical to the same shard of a single-process run.
+func shardConfig(cfg Config, i int) Config {
+	n := cfg.shardCount()
+	if n == 1 {
+		return cfg
+	}
+	g := cfg.ShardBase + i
+	sub := cfg
+	sub.Shards = 0
+	sub.ShardWorkers = 0
+	sub.ShardBase = g
+	sub.NumRows = shard.Rows(cfg.NumRows, n, i)
+	sub.Seed = shard.Seed(cfg.Seed, g)
+	// One backing file per shard under the file backend; the prefix also
+	// qualifies the device name ("shard3/ssd") in storage reports.
+	sub.Storage.Prefix = fmt.Sprintf("shard%d", g)
+	if cfg.InitRow != nil {
+		base := shard.Base(cfg.NumRows, n, i)
+		init := cfg.InitRow
+		sub.InitRow = func(row uint64) []float32 { return init(base + row) }
+	}
+	if cfg.WrapDevice != nil {
+		// Qualify device names per shard so a fault plan can target
+		// "shard1/ssd" (one shard's SSD) or "shard*/ssd" (all of them).
+		wrap := cfg.WrapDevice
+		sub.WrapDevice = func(name string, d device.Device) device.Device {
+			return wrap(fmt.Sprintf("shard%d/%s", g, name), d)
+		}
+	}
+	return sub
 }
 
 // SliceRowBase returns the first global row of the shard slice
@@ -111,29 +131,18 @@ func (cfg Config) EffectiveEpsilon() float64 {
 }
 
 // ShardRange reports the GLOBAL shard slice this controller serves:
-// [first, first+count). A standalone controller serves [0, Shards) (or
-// the single pseudo-shard [0, 1) when monolithic).
+// [first, first+count). A standalone controller serves [0, Shards).
 func (c *Controller) ShardRange() (first, count int) {
-	n := c.cfg.Shards
-	if n < 1 {
-		n = 1
-	}
-	return c.cfg.ShardBase, n
+	return c.cfg.ShardBase, c.eng.Shards()
 }
 
 // SnapshotShard serializes one shard's complete pipeline state,
-// addressed by GLOBAL shard index. The blob is a monolithic controller
-// snapshot — exactly the checkpoint section a full engine snapshot
-// stores for that shard — so it can be replayed by RestoreShard on any
-// controller that owns the shard, in any process.
+// addressed by GLOBAL shard index. The blob is exactly the checkpoint
+// section a full controller snapshot stores for that shard, so it can
+// be replayed by RestoreShard on any controller that owns the shard, in
+// any process.
 func (c *Controller) SnapshotShard(global int) ([]byte, error) {
-	if c.eng != nil {
-		return c.eng.SnapshotShard(global)
-	}
-	if global != c.cfg.ShardBase {
-		return nil, fmt.Errorf("fedora: shard %d outside controller slice [%d,%d)", global, c.cfg.ShardBase, c.cfg.ShardBase+1)
-	}
-	return c.Snapshot()
+	return c.eng.SnapshotShard(global)
 }
 
 // RestoreShard replays one shard's section, addressed by GLOBAL shard
@@ -141,13 +150,21 @@ func (c *Controller) SnapshotShard(global int) ([]byte, error) {
 // a recovery). This is the migration primitive: a coordinator exports
 // the section from the newest cluster checkpoint and replays it onto
 // whichever node owns the shard now. The controller must be quiesced
-// (AbortRound first if a fence orphaned a round).
+// (AbortRound first if a fence orphaned a round). On a one-shard
+// controller the shard's round is the controller's, so it rewinds
+// Round() too, exactly as Restore would.
 func (c *Controller) RestoreShard(global int, blob []byte) error {
-	if c.eng != nil {
-		return c.eng.RestoreShard(global, blob)
+	if err := c.eng.RestoreShard(global, blob); err != nil {
+		return err
 	}
-	if global != c.cfg.ShardBase {
-		return fmt.Errorf("fedora: shard %d outside controller slice [%d,%d)", global, c.cfg.ShardBase, c.cfg.ShardBase+1)
+	if len(c.parts) == 1 {
+		p := c.parts[0]
+		p.mu.Lock()
+		round := p.round
+		p.mu.Unlock()
+		c.mu.Lock()
+		c.round = round
+		c.mu.Unlock()
 	}
-	return c.Restore(blob)
+	return nil
 }

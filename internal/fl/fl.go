@@ -138,8 +138,8 @@ type Config struct {
 	// state bit-identical for a given Seed at ANY worker count.
 	Workers int
 	// Shards partitions the controller's embedding table into this many
-	// per-shard ORAM pipelines executed concurrently (0 or 1 =
-	// monolithic; see fedora.Config.Shards). At equal chunking the model
+	// per-shard ORAM pipelines executed concurrently (0 or 1 = one
+	// shard; see fedora.Config.Shards). At equal chunking the model
 	// and ε guarantees are unchanged — sharding only moves wall-clock.
 	Shards int
 	// Prefetch enables the lookahead pipeline end to end: the controller

@@ -1,12 +1,10 @@
 package shard
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 
 	"repro/internal/device"
-	"repro/internal/persist"
 	"repro/internal/tee"
 )
 
@@ -32,9 +30,11 @@ func DefaultTrigger(err error) bool {
 	return errors.Is(err, device.ErrInjected) || errors.Is(err, tee.ErrAuthFailed)
 }
 
-// trigger applies the configured (or default) quarantine policy.
+// trigger applies the configured (or default) quarantine policy. A
+// one-shard engine never quarantines: there is no survivor to degrade
+// onto, so its faults fail the round loudly instead.
 func (e *Engine) trigger(err error) bool {
-	if err == nil {
+	if err == nil || e.cfg.Shards == 1 {
 		return false
 	}
 	if e.cfg.Trigger != nil {
@@ -169,37 +169,14 @@ func (e *Engine) Recover(b []byte) ([]int, error) {
 	if len(idx) == 0 {
 		return nil, nil
 	}
-	cp, err := persist.DecodeCheckpoint(bytes.NewReader(b))
+	sections, err := e.decode(b)
 	if err != nil {
 		return nil, fmt.Errorf("shard: recover: %w", err)
 	}
-	meta, ok := cp.Get(metaSection)
-	if !ok {
-		return nil, fmt.Errorf("shard: recover: snapshot has no %q section", metaSection)
-	}
-	d := persist.NewDecoder(meta)
-	version := d.U8()
-	shards := int(d.U32())
-	numRows := d.U64()
-	base := int(d.U32())
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("shard: recover: snapshot meta: %w", err)
-	}
-	if version != engineSnapshotVersion {
-		return nil, fmt.Errorf("shard: recover: unsupported engine snapshot version %d", version)
-	}
-	if shards != e.cfg.Shards || numRows != e.cfg.NumRows || base != e.cfg.Base {
-		return nil, fmt.Errorf("shard: recover: snapshot geometry (%d shards, %d rows, base %d) does not match engine (%d shards, %d rows, base %d)",
-			shards, numRows, base, e.cfg.Shards, e.cfg.NumRows, e.cfg.Base)
-	}
 	var recovered []int
 	for _, i := range idx {
-		blob, ok := cp.Get(SectionName(e.cfg.Base + i))
-		if !ok {
-			return recovered, fmt.Errorf("shard: recover: snapshot has no %q section", SectionName(e.cfg.Base+i))
-		}
 		e.parts[i].Abort()
-		if err := e.parts[i].Restore(blob); err != nil {
+		if err := e.parts[i].Restore(sections[i]); err != nil {
 			return recovered, fmt.Errorf("shard %d: recover: %w", e.cfg.Base+i, err)
 		}
 		e.quarantined[i] = false

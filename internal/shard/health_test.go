@@ -36,6 +36,32 @@ func TestDefaultTrigger(t *testing.T) {
 	}
 }
 
+// TestOneShardEngineNeverQuarantines: with no survivor to degrade onto,
+// a one-shard engine fails trigger errors loudly — at begin and mid-round
+// — and keeps reporting one healthy shard.
+func TestOneShardEngineNeverQuarantines(t *testing.T) {
+	e, fakes := newFakeEngine(t, 100, 1, 0)
+	fakes[0].beginErr = injectedErr
+	if _, err := e.BeginRound(requests(10)); !errors.Is(err, device.ErrInjected) || errors.Is(err, ErrShardUnavailable) {
+		t.Fatalf("begin err = %v, want the injected fault itself", err)
+	}
+	fakes[0].beginErr = nil
+	fakes[0].failOn("serve", injectedErr)
+	r, err := e.BeginRound(requests(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := r.ServeEntry(10); !errors.Is(err, device.ErrInjected) || errors.Is(err, ErrShardUnavailable) {
+		t.Fatalf("serve err = %v, want the injected fault itself", err)
+	}
+	if _, err := r.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if rep := e.Health(); rep.Status != StatusHealthy || rep.Quarantines != 0 || len(rep.Shards) != 1 || rep.Shards[0].Quarantined {
+		t.Fatalf("health = %+v, want one healthy shard", rep)
+	}
+}
+
 // TestBeginRoundQuarantinesTriggerShard: a shard whose BeginRound fails
 // with a quarantine-trigger error is isolated, the round proceeds over
 // the survivors, and operations routed to it get ErrShardUnavailable.

@@ -31,6 +31,77 @@ func SectionName(i int) string { return fmt.Sprintf("shard/%04d", i) }
 // ErrRoundOpen is returned by Snapshot when a round is in flight.
 var ErrRoundOpen = errors.New("shard: cannot snapshot mid-round")
 
+// EncodeSnapshot builds an engine snapshot container from per-shard
+// sections: the meta section pinning the geometry (shards, numRows,
+// base), then one section per shard named by GLOBAL index base+i. It is
+// exactly what Engine.Snapshot writes, so a cluster coordinator holding
+// the sections of every shard assembles the single-process blob.
+func EncodeSnapshot(shards int, numRows uint64, base int, sections [][]byte) ([]byte, error) {
+	cp := persist.NewCheckpoint()
+	var meta persist.Encoder
+	meta.U8(engineSnapshotVersion)
+	meta.U32(uint32(shards))
+	meta.U64(numRows)
+	meta.U32(uint32(base))
+	cp.Put(metaSection, meta.Finish())
+	for i, blob := range sections {
+		cp.Put(SectionName(base+i), blob)
+	}
+	var buf bytes.Buffer
+	if err := cp.Encode(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// DecodeSnapshot verifies an engine snapshot container against the
+// expected geometry and returns its per-shard sections by local index.
+// A diverging shard count, row count or slice base is rejected with a
+// message naming both sides.
+func DecodeSnapshot(b []byte, shards int, numRows uint64, base int) ([][]byte, error) {
+	cp, err := persist.DecodeCheckpoint(bytes.NewReader(b))
+	if err != nil {
+		return nil, fmt.Errorf("shard: engine snapshot: %w", err)
+	}
+	meta, ok := cp.Get(metaSection)
+	if !ok {
+		return nil, fmt.Errorf("shard: engine snapshot has no %q section", metaSection)
+	}
+	d := persist.NewDecoder(meta)
+	version := d.U8()
+	gotShards := int(d.U32())
+	gotRows := d.U64()
+	gotBase := int(d.U32())
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("shard: engine snapshot meta: %w", err)
+	}
+	if version != engineSnapshotVersion {
+		return nil, fmt.Errorf("shard: unsupported engine snapshot version %d", version)
+	}
+	if gotShards != shards {
+		return nil, fmt.Errorf("shard: snapshot was taken with %d shards, engine is configured with %d — restore requires an identical shard count", gotShards, shards)
+	}
+	if gotRows != numRows {
+		return nil, fmt.Errorf("shard: snapshot covers %d rows, engine is configured with %d", gotRows, numRows)
+	}
+	if gotBase != base {
+		return nil, fmt.Errorf("shard: snapshot covers shard slice [%d,%d), engine serves [%d,%d)",
+			gotBase, gotBase+shards, base, base+shards)
+	}
+	sections := make([][]byte, shards)
+	for i := range sections {
+		if sections[i], ok = cp.Get(SectionName(base + i)); !ok {
+			return nil, fmt.Errorf("shard: engine snapshot has no %q section", SectionName(base+i))
+		}
+	}
+	return sections, nil
+}
+
+// decode verifies a snapshot against this engine's geometry.
+func (e *Engine) decode(b []byte) ([][]byte, error) {
+	return DecodeSnapshot(b, e.cfg.Shards, e.cfg.NumRows, e.cfg.Base)
+}
+
 // Snapshot serializes the engine geometry and every partition.
 func (e *Engine) Snapshot() ([]byte, error) {
 	e.mu.Lock()
@@ -40,25 +111,15 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	}
 	e.mu.Unlock()
 
-	cp := persist.NewCheckpoint()
-	var meta persist.Encoder
-	meta.U8(engineSnapshotVersion)
-	meta.U32(uint32(e.cfg.Shards))
-	meta.U64(e.cfg.NumRows)
-	meta.U32(uint32(e.cfg.Base))
-	cp.Put(metaSection, meta.Finish())
+	sections := make([][]byte, len(e.parts))
 	for i, p := range e.parts {
 		blob, err := p.Snapshot()
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", e.cfg.Base+i, err)
 		}
-		cp.Put(SectionName(e.cfg.Base+i), blob)
+		sections[i] = blob
 	}
-	var buf bytes.Buffer
-	if err := cp.Encode(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return EncodeSnapshot(e.cfg.Shards, e.cfg.NumRows, e.cfg.Base, sections)
 }
 
 // Restore replaces every partition's state from a snapshot taken by an
@@ -72,41 +133,12 @@ func (e *Engine) Restore(b []byte) error {
 	}
 	e.mu.Unlock()
 
-	cp, err := persist.DecodeCheckpoint(bytes.NewReader(b))
+	sections, err := e.decode(b)
 	if err != nil {
-		return fmt.Errorf("shard: engine snapshot: %w", err)
-	}
-	meta, ok := cp.Get(metaSection)
-	if !ok {
-		return fmt.Errorf("shard: engine snapshot has no %q section", metaSection)
-	}
-	d := persist.NewDecoder(meta)
-	version := d.U8()
-	shards := int(d.U32())
-	numRows := d.U64()
-	base := int(d.U32())
-	if err := d.Err(); err != nil {
-		return fmt.Errorf("shard: engine snapshot meta: %w", err)
-	}
-	if version != engineSnapshotVersion {
-		return fmt.Errorf("shard: unsupported engine snapshot version %d", version)
-	}
-	if shards != e.cfg.Shards {
-		return fmt.Errorf("shard: snapshot was taken with %d shards, engine is configured with %d — restore requires an identical shard count", shards, e.cfg.Shards)
-	}
-	if numRows != e.cfg.NumRows {
-		return fmt.Errorf("shard: snapshot covers %d rows, engine is configured with %d", numRows, e.cfg.NumRows)
-	}
-	if base != e.cfg.Base {
-		return fmt.Errorf("shard: snapshot covers shard slice [%d,%d), engine serves [%d,%d)",
-			base, base+shards, e.cfg.Base, e.cfg.Base+e.cfg.Shards)
+		return err
 	}
 	for i, p := range e.parts {
-		blob, ok := cp.Get(SectionName(e.cfg.Base + i))
-		if !ok {
-			return fmt.Errorf("shard: engine snapshot has no %q section", SectionName(e.cfg.Base+i))
-		}
-		if err := p.Restore(blob); err != nil {
+		if err := p.Restore(sections[i]); err != nil {
 			return fmt.Errorf("shard %d: %w", e.cfg.Base+i, err)
 		}
 	}

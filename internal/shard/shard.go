@@ -11,14 +11,14 @@
 // Within a shard the ε-FDP mechanism bounds what the shard's access
 // count k reveals about its k_union; across shards the protected values
 // are disjoint feature values, so by parallel composition the round
-// satisfies the same per-value ε the monolithic pipeline gives (the
+// satisfies the same per-value ε a single pipeline gives (the
 // round ε is the maximum, not the sum, of the per-shard chunk εs — see
 // fdp.Accountant).
 //
 // The engine is deliberately generic: it routes rows, fans rounds out,
 // and merges statistics, while the actual pipelines are supplied as
-// Partition values (the fedora package wraps one sub-controller per
-// shard). This keeps the package free of a dependency on the controller
+// Partition values (the fedora package supplies one pipeline per
+// shard, even when there is only one). This keeps the package free of a dependency on the controller
 // that embeds it.
 //
 // Key invariants:
@@ -34,6 +34,8 @@
 //     rows live only up to the real-row histogram; docs/ARCHITECTURE.md
 //     discusses the resulting leakage trade-off.
 //   - At most one round is in flight per engine.
+//   - A one-shard engine never quarantines: with no survivor to degrade
+//     onto, its faults fail the round loudly (see trigger).
 package shard
 
 import (
@@ -303,11 +305,11 @@ func (e *Engine) Abort() {
 	}
 }
 
-// Round is an in-flight sharded round: one PartitionRound per shard plus
+// Round is an in-flight engine round: one PartitionRound per shard plus
 // the wall-clock bookkeeping needed to attribute phase time. ServeEntry
-// and SubmitGradient are safe for concurrent use and, unlike the
-// monolithic pipeline, proceed in parallel when the rows live on
-// different shards (each shard serializes only its own pipeline).
+// and SubmitGradient are safe for concurrent use and proceed in
+// parallel when the rows live on different shards (each shard
+// serializes only its own pipeline).
 type Round struct {
 	e         *Engine
 	subs      []PartitionRound

@@ -7,9 +7,9 @@ import (
 )
 
 // RoundStats summarizes one FL round for the evaluation harness. It is
-// produced by the monolithic fedora pipeline and by this package's
-// Engine alike (the fedora package aliases it), so the fl/api/experiment
-// layers see one shape regardless of the shard count.
+// produced by each fedora partition and merged by this package's Engine
+// (the fedora package aliases it), so the fl/api/experiment layers see
+// one shape regardless of the shard count.
 type RoundStats struct {
 	// K is the total number of client requests (public).
 	K int
@@ -86,7 +86,8 @@ type RoundStats struct {
 	// QuarantinedShards counts shards that sat out this round (their
 	// PerShard entries are zero and carry Quarantined=true).
 	QuarantinedShards int
-	// PerShard is the per-shard breakdown (nil for a monolithic round).
+	// PerShard is the per-shard breakdown (nil for a partition's own
+	// round, before the engine merges it).
 	PerShard []ShardStats
 }
 
